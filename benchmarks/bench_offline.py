@@ -12,12 +12,6 @@ bottleneck by two orders of magnitude (~13 s per paper-suite design vs
   (:mod:`repro.place.ref`, :mod:`repro.route.ref`), on identical packed
   designs / placements.  Acceptance: **≥5×** (CI smoke runs a
   conservative 3× floor via ``REPRO_OFFLINE_FLOOR``).
-* **intra-design parallel pipeline** (PR 8) — region-parallel placement
-  (:mod:`repro.place.parallel`) plus round-parallel routing
-  (:mod:`repro.route.parallel`) at 4 workers against the serial
-  algorithms on one cold design.  Quality (HPWL, wirelength) must be
-  equal-or-better unconditionally; the **≥1.5×** wall-clock floor
-  (``REPRO_INTRA_FLOOR``) applies on hosts with ≥4 cores.
 * **cross-design build scaling** — an 8-design cold campaign with
   ``offline_workers=4`` must beat serial offline builds by **≥2×**
   wall-clock with byte-identical outcomes.  Outcome parity is asserted
@@ -48,11 +42,6 @@ from repro.route.ref import PathFinderRef
 from repro.workloads import get_spec, generate_circuit
 
 OFFLINE_FLOOR = float(os.environ.get("REPRO_OFFLINE_FLOOR", "5.0"))
-#: Single-design speedup floor for the intra-design parallel pipeline
-#: (region-parallel place + round-parallel route at 4 workers), asserted
-#: only on hosts with >= 4 cores — the kernels are round-trip-dominated
-#: and can only lose wall-clock without processors to fan out to.
-INTRA_FLOOR = float(os.environ.get("REPRO_INTRA_FLOOR", "1.5"))
 SEED = 2016
 
 
@@ -136,119 +125,6 @@ def test_physical_stage_speedup(packed, results_dir):
         f"physical stage gained only {speedup:.2f}x "
         f"(floor {OFFLINE_FLOOR:g}x)"
     )
-
-
-def test_intra_design_parallel_speedup(results_dir):
-    """PR 8: region-parallel place + round-parallel route, one design.
-
-    Quality gates are unconditional: the region placer must match or beat
-    the serial annealer's HPWL and the routed wire count must be
-    equal-or-better.  The wall-clock floor (``REPRO_INTRA_FLOOR``, 1.5x
-    at 4 workers) is asserted only where the host has >= 4 cores; smaller
-    hosts record the measurement with a skip note instead.
-    """
-    pytest.importorskip("numpy", reason="region-parallel placement needs numpy")
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.arch import ArchSpec
-    from repro.core.muxnet import build_trace_network
-    from repro.mapping import TconMap
-    from repro.pack import build_atoms, pack_design
-    from repro.place.parallel import place_design_regions
-    from repro.util.intra import IntraPool
-    from repro.workloads import campaign_spec
-
-    # channel width 40: the PR 10 mapping rewrite shifted the packed
-    # netlist enough that width 32 left this design on a routability
-    # cliff (one stubborn overused node) — the bench measures pipeline
-    # throughput, so it keeps comfortable routing headroom instead
-    arch = ArchSpec(
-        k=6, n_ble=4, n_cluster_inputs=14, channel_width=40, io_capacity=4
-    )
-    spec = campaign_spec("synth500", n_gates=500, depth=10, n_pis=40, n_pos=20)
-    net = generate_circuit(spec)
-    instr = build_trace_network(net, n_buffer_inputs=2)
-    mapping = TconMap(params=instr.param_ids, taps=set(instr.taps)).map(
-        instr.network
-    )
-    design = pack_design(build_atoms(mapping, instr), arch)
-
-    # --- serial pipeline (the historical single-threaded algorithms)
-    t0 = time.perf_counter()
-    p_ser = place_design(design, seed=SEED)
-    place_ser_s = time.perf_counter() - t0
-    rr = build_rr_graph(p_ser.grid)
-    t0 = time.perf_counter()
-    r_ser = route_design(p_ser, rr)
-    route_ser_s = time.perf_counter() - t0
-
-    # --- intra-parallel pipeline at 4 workers on a private pool
-    workers = 4
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pool = IntraPool(workers, acquire=lambda: ex)
-        t0 = time.perf_counter()
-        p_par = place_design_regions(design, seed=SEED, regions=8, intra=pool)
-        place_par_s = time.perf_counter() - t0
-        rr_par = build_rr_graph(p_par.grid)
-        t0 = time.perf_counter()
-        r_par = route_design(p_par, rr_par, rounds=True, intra=pool)
-        route_par_s = time.perf_counter() - t0
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    serial_s = place_ser_s + route_ser_s
-    par_s = place_par_s + route_par_s
-    speedup = serial_s / par_s
-    floored = cores >= 4
-    note = (
-        f"floor {INTRA_FLOOR:g}x enforced ({cores} cores)"
-        if floored
-        else f"floor not enforced: host has {cores} core(s), need 4"
-    )
-    text = (
-        "INTRA-DESIGN PARALLEL PHYSICAL PIPELINE (measured)\n"
-        f"single cold design synth500, seed {SEED}, {workers} workers\n\n"
-        f"place: serial {place_ser_s:6.2f} s   region-parallel "
-        f"{place_par_s:6.2f} s\n"
-        f"route: serial {route_ser_s:6.2f} s   round-parallel "
-        f"{route_par_s:6.2f} s\n\n"
-        f"single-design speedup: {speedup:.2f}x  ({note})\n\n"
-        "quality (equal-or-better required, asserted unconditionally):\n"
-        f"  HPWL:       serial {p_ser.cost:8.1f}   parallel {p_par.cost:8.1f}\n"
-        f"  wires used: serial {r_ser.total_wires_used():8d}   parallel "
-        f"{r_par.total_wires_used():8d}\n"
-    )
-    emit(results_dir, "offline_intra_design", text)
-    emit_json(
-        results_dir,
-        "offline",
-        {
-            "intra_design": "synth500",
-            "intra_workers": workers,
-            "intra_place_serial_s": place_ser_s,
-            "intra_place_parallel_s": place_par_s,
-            "intra_route_serial_s": route_ser_s,
-            "intra_route_parallel_s": route_par_s,
-            "intra_speedup": speedup,
-            "intra_floor_enforced": floored,
-            "intra_hpwl_serial": p_ser.cost,
-            "intra_hpwl_parallel": p_par.cost,
-            "intra_wires_serial": r_ser.total_wires_used(),
-            "intra_wires_parallel": r_par.total_wires_used(),
-            "host_cores": cores,
-        },
-    )
-
-    assert p_par.cost <= p_ser.cost, "region placer lost HPWL quality"
-    assert r_par.total_wires_used() <= r_ser.total_wires_used(), (
-        "intra-parallel pipeline lost wirelength quality"
-    )
-    if floored:
-        assert speedup >= INTRA_FLOOR, (
-            f"intra-design pipeline gained only {speedup:.2f}x at "
-            f"{workers} workers (floor {INTRA_FLOOR:g}x)"
-        )
 
 
 @pytest.mark.slow

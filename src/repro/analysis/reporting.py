@@ -8,6 +8,7 @@ can be regenerated without scraping terminal logs.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -130,9 +131,7 @@ def render_campaign_report(
     offline_workers: int | None = None,
     offline_wall_s: float | None = None,
     offline_stage_s: Mapping[str, float] | None = None,
-    intra_design_workers: int | None = None,
     notes: Sequence[str] = (),
-    schedule: str | None = None,
     sched_wall_s: float | None = None,
     overlap_ratio: float | None = None,
     stage_concurrency: Mapping[str, float] | None = None,
@@ -194,6 +193,10 @@ def render_campaign_report(
         f"scenarios: {agg['n_scenarios']} ({counts}); "
         f"localization rate {100 * agg['localization_rate']:.0f}%"
     )
+    # one line per distinct failure reason, in first-seen order
+    errors = Counter(r["error"] for r in records if r.get("error"))
+    for message, n in errors.items():
+        lines.append(f"error ({n} scenarios): {message}")
     builds = agg["offline_builds"]
     lines.append(
         f"offline stage: {builds} build(s) + {agg['cache_hits']} cache "
@@ -217,18 +220,12 @@ def render_campaign_report(
             else ""
         )
         lines.append(f"offline stages built: {breakdown}{wall}")
-    if intra_design_workers:
-        lines.append(
-            f"intra-design parallelism: {intra_design_workers} worker(s) "
-            "(level-wave mapping; region-parallel place and round-parallel "
-            "route on physical runs)"
-        )
     if wall_s is not None:
         par = f", {workers} worker(s)" if workers else ""
         lines.append(f"wall clock: {wall_s:.2f} s{par}")
-    if schedule and sched_wall_s is not None:
+    if sched_wall_s is not None:
         line = (
-            f"schedule: {schedule}; task wall {sched_wall_s:.2f} s, "
+            f"task wall {sched_wall_s:.2f} s, "
             f"offline/online overlap {100 * (overlap_ratio or 0.0):.0f}%"
         )
         if stage_concurrency:

@@ -100,18 +100,6 @@ def _parser() -> argparse.ArgumentParser:
         "serial; outcomes are byte-identical either way)",
     )
     p.add_argument(
-        "--intra-design-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="intra-design parallelism: N >= 1 switches to level-wave "
-        "priority-cut mapping (always) plus, with --physical, the "
-        "region-parallel placer and round-parallel router, fanning waves "
-        "onto the shared pool with N slots (default 0 = historical "
-        "serial algorithms; outcomes are byte-identical across any "
-        "N >= 1)",
-    )
-    p.add_argument(
         "--lane-width",
         type=int,
         default=64,
@@ -121,16 +109,6 @@ def _parser() -> argparse.ArgumentParser:
         "historical one-session-per-scenario path — outcomes are "
         "byte-identical at every width (the CI lane-equivalence job "
         "diffs them)",
-    )
-    p.add_argument(
-        "--schedule",
-        choices=["dataflow", "barrier"],
-        default="dataflow",
-        help="campaign execution discipline: 'dataflow' (default) overlaps "
-        "offline builds with online lane batches on one shared worker "
-        "pool — a design's batches launch as soon as its artifact lands; "
-        "'barrier' keeps the historical offline-then-online phase "
-        "ordering (outcomes and cache stats are identical either way)",
     )
     p.add_argument(
         "--sim-backend",
@@ -314,7 +292,6 @@ def _build_scenarios(
             cache=cache,
             with_physical=args.physical,
             workers=args.offline_workers,
-            intra_workers=args.intra_design_workers,
         )
 
     scenarios: list[DebugScenario] = []
@@ -327,29 +304,16 @@ def _build_scenarios(
                 return None
             spec = get_spec(design) if isinstance(design, str) else design
             net = generate_circuit(spec)
-            extras = (
-                ("place_regions=8",)
-                if args.intra_design_workers >= 1 and args.physical
-                else ()
-            )
             found = prebuilt.get(
-                _offline_group_key(
-                    net, CampaignConfig().flow, args.physical, extras
-                )
+                _offline_group_key(net, CampaignConfig().flow, args.physical)
             )
             if found is not None:
                 return found
-            # only a failed prebuild (e.g. physical back-end rejection)
-            # falls through to a cache resolution here
-            try:
-                return resolve_offline(
-                    net, cache=cache, with_physical=args.physical
-                )[0]
-            except Exception:
-                # screening only needs the generic artifact; let the
-                # campaign's offline phase surface the physical-stage
-                # failure as a per-scenario error result
-                return resolve_offline(net, cache=cache)[0]
+            # a design missing from the prebuild failed to build (e.g. a
+            # physical back-end rejection).  Screening only needs the
+            # generic artifact; the campaign's offline phase surfaces the
+            # physical-stage failure as a per-scenario error result.
+            return resolve_offline(net, cache=cache)[0]
 
         if args.kind == "stuck-at":
             scenarios += stuck_at_scenarios(
@@ -441,12 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         offline_workers=args.offline_workers,
         with_physical=args.physical,
-        intra_design_workers=args.intra_design_workers,
         max_turns=args.max_turns,
         lane_width=args.lane_width,
         interpreted=args.interpreted,
         backend=None if args.sim_backend == "auto" else args.sim_backend,
-        schedule=args.schedule,
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
         fail_fast=args.fail_fast,

@@ -21,19 +21,17 @@ through the two-stage debug flow:
 
 Both phases are expressed as tasks on one
 :class:`~repro.pipeline.scheduler.DataflowScheduler` sharing one worker
-pool.  Under the default ``schedule="dataflow"`` there is **no phase
-barrier**: a design's lane batches launch the moment its last offline
-build lands, while other designs are still packing/placing/routing — and
-with ``offline_workers > 1`` a single design's independent stages
-(``rr-graph`` vs ``place``) overlap too, via the fused segment tasks of
-:func:`~repro.pipeline.scheduler.submit_compile`.  ``schedule="barrier"``
-keeps the historical offline-then-online ordering (the baseline
-``benchmarks/bench_overlap.py`` measures against).  The serial
+pool.  There is **no phase barrier**: a design's lane batches launch the
+moment its last offline build lands, while other designs are still
+packing/placing/routing — and with ``offline_workers > 1`` a single
+design's independent stages (``rr-graph`` vs ``place``) overlap too, via
+the fused segment tasks of
+:func:`~repro.pipeline.scheduler.submit_compile`.  The serial
 configuration (``workers=1``, ``offline_workers=1``) is the same
 scheduler with nothing pooled — the event loop degenerates to the
 historical serial loops.
 
-Store semantics are identical across schedules and worker counts: the
+Store semantics are identical across worker counts: the
 parent process performs every cache probe and store put, under the same
 content-addressed keys and in the same per-design order as a serial run,
 so outcomes are byte-identical and hit/miss/invalidation statistics
@@ -89,18 +87,6 @@ class CampaignConfig:
     """Include the physical back-end (pack/place/route, bitstream) in the
     offline artifact — the paper's full §IV-A stage.  Currently limited to
     combinational designs (the TPaR back-end does not yet route latches)."""
-    intra_design_workers: int = 0
-    """Intra-design parallelism.  ``0`` (default) keeps the historical
-    serial algorithms.  ``>= 1`` turns on the intra-parallel algorithms:
-    level-wave priority-cut mapping in the generic prefix (initial-map
-    and tcon-map, byte-identical to serial — see
-    :mod:`repro.mapping.parallel`) and, with ``with_physical``, the
-    region-parallel annealer (cache-keyed as ``place_regions=8``) plus
-    the round-parallel router (byte-identical to serial).  All waves fan
-    onto the campaign's one shared worker pool with this many slots;
-    ``1`` runs the same algorithms in-process.  Campaign outcomes are
-    therefore byte-identical across any ``>= 1`` setting — only the wall
-    clock changes."""
     max_turns: int = 48
     """Per-scenario budget of debugging turns for the localization walk."""
     lane_width: int = 64
@@ -122,13 +108,6 @@ class CampaignConfig:
     :func:`repro.netlist.compiled.resolve_backend`.  Outcomes are
     byte-identical across backends (``tests/test_backend_parity.py``);
     only throughput changes.  Ignored when ``interpreted`` is set."""
-    schedule: str = "dataflow"
-    """Execution discipline: ``"dataflow"`` (default) overlaps offline
-    builds with online lane batches across designs on one shared worker
-    pool — a design's lane batches launch as soon as its artifact lands;
-    ``"barrier"`` keeps the historical offline-then-online phase
-    ordering.  Outcomes and cache statistics are identical either way —
-    only the wall-clock changes."""
     task_timeout_s: float | None = None
     """Wall-clock budget per pooled task attempt (offline segment or
     online lane batch).  ``None`` (default) never times out.  A timed-out
@@ -282,19 +261,9 @@ def _make_pool(n: int):
     return ProcessPoolExecutor(max_workers=n)
 
 
-def _offline_group_key(
-    net,
-    flow: DebugFlowConfig,
-    with_physical: bool,
-    extras: tuple = (),
-) -> str:
-    """The identity under which scenarios share one offline build.
-
-    ``extras`` carries additional algorithm discriminators — e.g.
-    ``"place_regions=8"`` when the intra-parallel back-end is selected,
-    whose placement is a different (keyed) trajectory from serial.
-    """
-    extra = (("physical",) if with_physical else ()) + extras
+def _offline_group_key(net, flow: DebugFlowConfig, with_physical: bool) -> str:
+    """The identity under which scenarios share one offline build."""
+    extra = ("physical",) if with_physical else ()
     return offline_cache_key(net, flow, extra=extra)
 
 
@@ -323,8 +292,6 @@ def _submit_design_build(
     gkey: str,
     *,
     pooled: bool,
-    params: "dict | None" = None,
-    intra=None,
     timeout_s: "float | None" = None,
     max_retries: int = 0,
     on_complete,
@@ -361,7 +328,7 @@ def _submit_design_build(
     if isinstance(cache, ArtifactStore):
         # stage-granular: the probe inside submit_compile is the lookup
         try:
-            plan = DEBUG_FLOW_GRAPH.plan(net, flow, params=params, stages=stages)
+            plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
         except Exception as exc:  # noqa: BLE001 — one bad design ≠ dead campaign
             fail(exc)
             return []
@@ -387,7 +354,6 @@ def _submit_design_build(
             store=cache,
             pooled=pooled,
             label=gkey[:12],
-            intra=intra,
             timeout_s=timeout_s,
             max_retries=max_retries,
             on_complete=complete,
@@ -405,7 +371,7 @@ def _submit_design_build(
             return []
 
     try:
-        plan = DEBUG_FLOW_GRAPH.plan(net, flow, params=params, stages=stages)
+        plan = DEBUG_FLOW_GRAPH.plan(net, flow, stages=stages)
     except Exception as exc:  # noqa: BLE001
         fail(exc)
         return []
@@ -431,7 +397,6 @@ def _submit_design_build(
         store=None,
         pooled=pooled,
         label=gkey[:12],
-        intra=intra,
         timeout_s=timeout_s,
         max_retries=max_retries,
         on_complete=complete_cold,
@@ -445,7 +410,6 @@ def prebuild_offline(
     cache: CacheLike = None,
     with_physical: bool = False,
     workers: int = 1,
-    intra_workers: int = 0,
     notes: "list[str] | None" = None,
 ) -> "dict[str, OfflineStage]":
     """Warm the cache with offline artifacts for ``nets``, concurrently.
@@ -467,39 +431,18 @@ def prebuild_offline(
     absent; callers decide whether to retry without the physical stage
     or surface the error.  ``notes``, when given, collects
     human-readable fallback messages (pool unavailable etc.).
-
-    ``intra_workers >= 1`` selects the intra-parallel algorithms
-    (level-wave mapping always; region-parallel placement and
-    round-parallel routing with ``with_physical``) — see
-    :attr:`CampaignConfig.intra_design_workers` for the semantics.
     """
     flow = flow or DebugFlowConfig()
     if notes is None:
         notes = []
-    intra_enabled = intra_workers >= 1
-    # place_regions=8 (a keyed, different algorithm) only applies to the
-    # physical back-end; generic-prefix waves need no key discriminator
-    phys_intra = intra_enabled and with_physical
-    extras = ("place_regions=8",) if phys_intra else ()
-    params = {"place_regions": 8} if phys_intra else None
     keyed: "dict[str, object]" = {}
     for net in nets:
-        keyed.setdefault(
-            _offline_group_key(net, flow, with_physical, extras), net
-        )
+        keyed.setdefault(_offline_group_key(net, flow, with_physical), net)
     out: "dict[str, OfflineStage]" = {}
     sched = DataflowScheduler(
-        pool_size=max(
-            min(max(1, workers), max(1, len(keyed))),
-            intra_workers if intra_enabled else 1,
-        ),
+        pool_size=min(max(1, workers), max(1, len(keyed))),
         executor_factory=_make_pool,
     )
-    intra = None
-    if intra_enabled:
-        from repro.util.intra import IntraPool
-
-        intra = IntraPool(intra_workers, acquire=sched._acquire_pool)
     try:
         for key, net in keyed.items():
 
@@ -515,8 +458,6 @@ def prebuild_offline(
                 cache,
                 key,
                 pooled=workers > 1,
-                params=params,
-                intra=intra,
                 on_complete=done,
             )
         sched.run()
@@ -526,11 +467,6 @@ def prebuild_offline(
         notes.append(
             "offline prebuild pool unavailable "
             f"({type(sched.pool_error).__name__}); built cold design(s) "
-            "in-process"
-        )
-    if intra is not None and intra.broken:
-        notes.append(
-            "intra-design pool unavailable; mapping/place/route waves ran "
             "in-process"
         )
     return out
@@ -551,8 +487,7 @@ def run_campaign(
         :mod:`repro.workloads.scenarios` for generators.
     config:
         Orchestration knobs; defaults to serial execution, generic-only
-        offline artifacts, dataflow scheduling and a 48-turn
-        localization budget.
+        offline artifacts and a 48-turn localization budget.
     cache:
         Offline-artifact cache: an :class:`~repro.pipeline.ArtifactStore`
         for stage-granular reuse, an
@@ -564,29 +499,17 @@ def run_campaign(
 
     Scenario outcomes are deterministic — the same scenarios and flow
     config produce the same statuses, suspects and turn counts whether
-    the phases run serially, across a worker pool, overlapped under the
-    dataflow schedule or behind the historical barrier.
+    the phases run serially or across a worker pool.
     """
     config = config or CampaignConfig()
     notes: list[str] = []
     t_wall = time.perf_counter()
     workers = max(1, config.workers)
     lane_width = max(1, config.lane_width)
-    barrier = config.schedule == "barrier"
-    intra_enabled = config.intra_design_workers >= 1
-    # the region-parallel annealer is a different (keyed) algorithm, so
-    # intra-enabled *physical* builds live under their own group keys and
-    # params; the generic prefix's level-wave mapping is byte-identical to
-    # serial, so without the physical back-end nothing is keyed
-    phys_intra = intra_enabled and config.with_physical
-    extras = ("place_regions=8",) if phys_intra else ()
-    build_params = {"place_regions": 8} if phys_intra else None
     # offline build unit: one per distinct design when pooled (builds
     # dedupe across duplicate scenarios), one per scenario when serial —
-    # the historical granularities, now just two task layouts.  Intra-
-    # parallel builds always take the dedup path: only the segment-task
-    # layout can thread the intra pool into place/route stage bodies.
-    dedup = config.offline_workers > 1 or intra_enabled
+    # the historical granularities, now just two task layouts
+    dedup = config.offline_workers > 1
 
     # -- checkpoint journal ----------------------------------------------------
     journal = None
@@ -643,7 +566,6 @@ def run_campaign(
     hits: dict[int, bool] = {}
     failed: dict[int, ScenarioResult] = {}
     offline_stage_s: dict[str, float] = {}
-    resolved: list[tuple[int, DebugScenario, OfflineStage]] = []
     indexed: list[tuple[int, ScenarioResult]] = []
     payloads: list[GroupPayload] = []
     aborted: dict = {"err": None}
@@ -672,9 +594,7 @@ def run_campaign(
         t0 = time.perf_counter()
         try:
             net = sc.debug_network()
-            gkey = _offline_group_key(
-                net, config.flow, config.with_physical, extras
-            )
+            gkey = _offline_group_key(net, config.flow, config.with_physical)
         except Exception as exc:  # noqa: BLE001
             failed[idx] = _offline_error(sc, f"{type(exc).__name__}: {exc}")
             offline_s[idx] = time.perf_counter() - t0
@@ -730,13 +650,6 @@ def run_campaign(
         )
 
     sched = DataflowScheduler(executor_factory=_make_pool)
-    intra = None
-    if intra_enabled:
-        from repro.util.intra import IntraPool
-
-        intra = IntraPool(
-            config.intra_design_workers, acquire=sched._acquire_pool
-        )
     # compiled programs persist in the stage store when one is in play —
     # worker processes compile their own (the store isn't shipped), but
     # in-parent runs and warm restarts skip compilation entirely
@@ -800,8 +713,7 @@ def run_campaign(
         if lg["pending"] > 0:
             return
         triples = sorted(lg["triples"], key=lambda t: t[0])
-        resolved.extend(triples)
-        if barrier or not triples:
+        if not triples:
             return
         for payload in _group_payloads(
             triples,
@@ -855,8 +767,6 @@ def run_campaign(
                 cache,
                 gkey,
                 pooled=config.offline_workers > 1,
-                params=build_params,
-                intra=intra,
                 timeout_s=config.task_timeout_s,
                 max_retries=max(0, config.task_retries),
                 on_complete=(
@@ -930,26 +840,11 @@ def run_campaign(
         1,
         min(max(1, config.offline_workers), max(1, n_cold)) if dedup else 1,
         min(workers, expected_payloads) if use_online_pool else 1,
-        # intra-parallel mapping/place/route waves ride the same pool;
-        # size it for the widest wave only when there is cold build work
-        config.intra_design_workers if intra_enabled and n_cold else 1,
     )
 
     # -- drain -----------------------------------------------------------------
     try:
         sched.run()
-        if barrier:
-            resolved.sort(key=lambda t: t[0])
-            for payload in _group_payloads(
-                resolved,
-                config.max_turns,
-                workers,
-                lane_width,
-                config.interpreted,
-                config.backend,
-            ):
-                submit_online(payload)
-            sched.run()
     finally:
         sched.shutdown()
         if journal is not None:
@@ -961,11 +856,6 @@ def run_campaign(
             "offline build pool unavailable "
             f"({type(sched.pool_error).__name__}); built remaining cold "
             "design(s) in-process"
-        )
-    if intra is not None and intra.broken:
-        notes.append(
-            "intra-design pool unavailable; mapping/place/route waves ran "
-            "in-process"
         )
     online_fell_back = "online" in sched.inline_fallbacks
     if online_fell_back:
@@ -1047,11 +937,7 @@ def run_campaign(
         cache_stats=cache.stats.as_dict() if cache is not None else None,
         lane_width=lane_width,
         lane_batches=[len(p[1]) for p in payloads] if lane_width > 1 else [],
-        intra_design_workers=(
-            config.intra_design_workers if intra_enabled else 0
-        ),
         notes=notes,
-        schedule=config.schedule,
         sched_wall_s=sched_wall_s,
         overlap_ratio=overlap_ratio,
         stage_concurrency=stage_concurrency,

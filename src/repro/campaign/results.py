@@ -118,25 +118,15 @@ class CampaignReport:
     """Configured scenarios-per-word limit of the online engine."""
     lane_batches: list[int] = field(default_factory=list)
     """Lane occupancy per online batch (empty on the serial path)."""
-    intra_design_workers: int = 0
-    """Intra-design parallelism the campaign ran with (0 = historical
-    serial algorithms; ``>= 1`` = level-wave priority-cut mapping, plus
-    region-parallel placement + round-parallel routing on physical
-    campaigns, fanning waves onto the shared pool — outcomes
-    byte-identical across any ``>= 1`` value)."""
     notes: list[str] = field(default_factory=list)
-    schedule: str = "dataflow"
-    """Execution discipline the campaign ran under: ``"dataflow"``
-    (offline builds and online lane batches overlapped on one shared
-    pool) or ``"barrier"`` (historical offline-then-online ordering)."""
     sched_wall_s: float = 0.0
     """Wall-clock the dataflow scheduler's event loop ran — the
     critical-path time all task execution (offline and online) fit in."""
     overlap_ratio: float = 0.0
     """Fraction of ``sched_wall_s`` during which offline and online work
-    executed simultaneously — 0 under the barrier schedule (or with
-    nothing to overlap), approaching the smaller phase's share of the
-    wall when the dataflow schedule hides it behind the larger."""
+    executed simultaneously — 0 with nothing to overlap, approaching the
+    smaller phase's share of the wall when the scheduler hides it behind
+    the larger."""
     stage_concurrency: dict[str, float] = field(default_factory=dict)
     """Per-stage busy-seconds / span-seconds over the campaign (pooled
     builds only; includes an ``"online"`` pseudo-stage).  Values above 1
@@ -198,9 +188,7 @@ class CampaignReport:
             offline_workers=self.offline_workers,
             offline_wall_s=self.offline_wall_s,
             offline_stage_s=self.offline_stage_s,
-            intra_design_workers=self.intra_design_workers,
             notes=self.notes,
-            schedule=self.schedule,
             sched_wall_s=self.sched_wall_s,
             overlap_ratio=self.overlap_ratio,
             stage_concurrency=self.stage_concurrency,

@@ -182,8 +182,8 @@ def merge_ranked(
     Cost determinism: arrival composes as a max (order-free); area flow
     composes as ``af(a) + af(b) - 1 - overlap`` with the overlap summed in
     local-index order — every term is fully determined by the order of
-    ``lists`` and of the cuts within them, so the serial mapper and the
-    level-wave workers produce bit-identical floats.
+    ``lists`` and of the cuts within them, so every run produces
+    bit-identical floats.
 
     With two or more lists the result is sorted by the rank mode (best
     first, first-occurrence tie-break) — callers may take element 0 as the

@@ -23,9 +23,7 @@ against) is :func:`repro.place.ref.place_design_ref`.
 
 The setup half of the anneal (blocks, grid, initial assignment, net
 tables, incremental state, the ``try_move`` evaluator) lives in
-:class:`_PlacerState`, shared with the deterministic region-parallel
-annealer of :mod:`repro.place.parallel` — both start from the identical
-initial placement and temperature estimate for a given seed.
+:class:`_PlacerState`; :func:`place_design` drives its move loop.
 """
 
 from __future__ import annotations
@@ -190,14 +188,11 @@ def _axis_move(mn: int, nmn: int, mx: int, nmx: int, old: int, new: int):
 
 
 class _PlacerState:
-    """Everything an annealer needs, built identically for every variant.
+    """Everything the annealer needs, built from one seed.
 
     Blocks, grid, the seed-derived RNG stream, the random initial
     assignment, net tables, the incremental bounding-box state and the
-    ``try_move`` evaluator.  The serial :func:`place_design` and the
-    region-parallel :func:`repro.place.parallel.place_design_regions`
-    both drive this state — same seed ⇒ same initial placement, same
-    temperature estimate — and differ only in their move loops.
+    ``try_move`` evaluator; :func:`place_design` runs the move loop.
     """
 
     def __init__(
@@ -391,9 +386,8 @@ class _PlacerState:
     def estimate_temp(self) -> float:
         """Initial temperature: std of random move deltas (trials reverted).
 
-        Draws from the shared stream in the exact order the serial anneal
-        always has, so the serial and region-parallel paths start from
-        the same temperature for a given seed.
+        Draws from the shared stream in the exact order the anneal always
+        has, so a seed fixes the starting temperature.
         """
         movable = self.movable
         site_of, block_at = self.site_of, self.block_at

@@ -34,9 +34,7 @@ back to plain loops when it is absent (same values, just slower), so the
 module imports clean on numpy-free interpreters.
 
 The dictionary-based implementation this was rewritten from (and is
-quality-gated against) is :class:`repro.route.ref.PathFinderRef`.  The
-iteration-parallel variant routing frozen-snapshot rounds on top of this
-class is :class:`repro.route.parallel.RoundPathFinder`.
+quality-gated against) is :class:`repro.route.ref.PathFinderRef`.
 """
 
 from __future__ import annotations
@@ -117,8 +115,7 @@ def _grow_tree(
     """Grow one connection's route tree by repeated A* (sink by sink).
 
     Pure function of its arguments plus the scratch arrays (validated by
-    the ``sid`` stamp, so stale contents never leak between searches) —
-    shared verbatim by the serial router and the round-parallel workers.
+    the ``sid`` stamp, so stale contents never leak between searches).
     Returns ``(tree, new_sid)``.
     """
     tree = RouteTree(conn_id=conn_id)
@@ -380,18 +377,12 @@ class PathFinder:
         trees[req.conn_id] = tree
         return tree
 
-    def _serial_pass(
+    def _route_pass(
         self, requests: list[ConnectionRequest], trees: dict[int, RouteTree]
     ) -> None:
         """One rip-up-and-reroute sweep over all requests, in order."""
         for req in requests:
             self._reroute_one(req, trees)
-
-    def _route_pass(
-        self, requests: list[ConnectionRequest], trees: dict[int, RouteTree]
-    ) -> None:
-        """One iteration's routing pass; subclasses may parallelize it."""
-        self._serial_pass(requests, trees)
 
     def _overused(self) -> list[int]:
         """Publish ``self.occ`` and return the over-capacity node ids."""

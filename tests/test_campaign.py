@@ -263,6 +263,19 @@ class TestReportingAggregation:
         assert agg["cache_hits"] == len(scenarios) - 1
         assert agg["localization_rate"] == 1.0
 
+    def test_report_names_each_distinct_error(self):
+        from repro.campaign import CampaignReport, ScenarioResult
+
+        reason = "offline stage failed: RoutingError: signal 'n7' not a BLE output"
+        results = [
+            ScenarioResult(f"d/s{i}", "d", "stuck-at", "error", error=reason)
+            for i in range(2)
+        ]
+        results.append(ScenarioResult("d/s2", "d", "stuck-at", "localized"))
+        text = CampaignReport(results=results).render()
+        assert f"error (2 scenarios): {reason}" in text.splitlines()
+        assert sum(line.startswith("error (") for line in text.splitlines()) == 1
+
     def test_experiments_accept_offline_fn(self):
         from repro.analysis.experiments import _CACHE, run_benchmark_columns
         from repro.workloads import get_spec

@@ -1,6 +1,6 @@
 """PR 5's fast offline physical pipeline: determinism, quality, parity.
 
-Three families of guarantees around the vectorized placer/router rewrite
+The guarantees around the vectorized placer/router rewrite
 and the parallel offline build scheduler:
 
 * **seed determinism** — the rewritten annealer and PathFinder produce
@@ -13,12 +13,17 @@ and the parallel offline build scheduler:
   (:mod:`repro.place.ref`, :mod:`repro.route.ref`);
 * **offline-workers parity** — a campaign run with ``offline_workers=4``
   produces byte-identical outcomes JSON to serial offline builds, for
-  memory-only and disk-backed stores, cold and warm.
+  memory-only and disk-backed stores, cold and warm;
+* **import footprint** — ``import repro.place`` loads the serial
+  annealer only.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -282,3 +287,30 @@ class TestOfflineWorkersParity:
         assert sum(report.offline_stage_s.values()) > 0.0
         # and the renderer surfaces them
         assert "offline stages built:" in report.render()
+
+
+def test_serial_place_import_stays_lean():
+    """``import repro.place`` loads the serial annealer and nothing else:
+    no other ``repro.place`` module and no process-pool machinery (the
+    campaign's one pool lives in the scheduler, never in a layer)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "import repro.arch  # anchor import (package init order)\n"
+        "import repro.place\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.place'))\n"
+        "assert loaded == ['repro.place', 'repro.place.tplace'], loaded\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "print('lean')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "lean" in out.stdout
